@@ -2,7 +2,7 @@
 
 use crate::column::Column;
 use crate::error::{FrameError, Result};
-use crate::ops::{AggFunc, CmpOp, GroupBy};
+use crate::ops::{key, AggFunc, CmpOp, GroupBy};
 use netgraph::AttrValue;
 use std::fmt;
 
@@ -317,6 +317,12 @@ impl DataFrame {
     /// Distinct values of a column, in first-occurrence order.
     pub fn unique(&self, column: &str) -> Result<Vec<AttrValue>> {
         let col = self.column(column)?;
+        if let Some(groups) = key::partition(col.iter().map(std::iter::once)) {
+            return Ok(groups
+                .iter()
+                .map(|rows| col.values()[rows[0]].clone())
+                .collect());
+        }
         let mut seen: Vec<AttrValue> = Vec::new();
         for v in col.iter() {
             if !seen.iter().any(|s| s == v) {

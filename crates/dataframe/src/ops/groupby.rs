@@ -3,7 +3,7 @@
 use crate::column::Column;
 use crate::error::Result;
 use crate::frame::DataFrame;
-use crate::ops::AggFunc;
+use crate::ops::{key, AggFunc};
 use netgraph::AttrValue;
 
 /// The result of [`DataFrame::groupby`]: rows partitioned into groups that
@@ -39,20 +39,26 @@ impl<'a> GroupBy<'a> {
             .iter()
             .map(|k| frame.column(k))
             .collect::<Result<_>>()?;
-        let mut groups: Vec<(Vec<AttrValue>, Vec<usize>)> = Vec::new();
-        for row in 0..frame.n_rows() {
-            let key: Vec<AttrValue> = key_cols
-                .iter()
-                .map(|c| c.get(row).expect("in range").clone())
-                .collect();
-            match groups
-                .iter_mut()
-                .find(|(k, _)| k.len() == key.len() && k.iter().zip(&key).all(|(a, b)| a == b))
-            {
-                Some((_, members)) => members.push(row),
-                None => groups.push((key, vec![row])),
+        let key_at = |row: usize| key_cols.iter().map(move |c| &c.values()[row]);
+        // Hashed when every key is in the exact domain; the first-match
+        // scan otherwise. Both build the same groups (see [`key`]).
+        let groups = match key::partition((0..frame.n_rows()).map(key_at)) {
+            Some(members) => members
+                .into_iter()
+                .map(|rows| (key_at(rows[0]).cloned().collect(), rows))
+                .collect(),
+            None => {
+                let mut groups: Vec<(Vec<AttrValue>, Vec<usize>)> = Vec::new();
+                for row in 0..frame.n_rows() {
+                    let key: Vec<AttrValue> = key_at(row).cloned().collect();
+                    match groups.iter_mut().find(|(k, _)| k == &key) {
+                        Some((_, members)) => members.push(row),
+                        None => groups.push((key, vec![row])),
+                    }
+                }
+                groups
             }
-        }
+        };
         Ok(GroupBy {
             frame,
             keys: keys.iter().map(|k| k.to_string()).collect(),

@@ -3,6 +3,7 @@
 use crate::column::Column;
 use crate::error::{FrameError, Result};
 use crate::frame::DataFrame;
+use crate::ops::key;
 use netgraph::AttrValue;
 
 /// Joins `left` and `right` on `left_on == right_on`, keeping only matching
@@ -49,21 +50,32 @@ fn join(
         ));
     }
 
-    // Pair up matching (left row, Option<right row>) indices.
-    let mut pairs: Vec<(usize, Option<usize>)> = Vec::new();
-    for l in 0..left.n_rows() {
-        let lv = left_key.get(l).expect("in range");
-        let mut matched = false;
-        for r in 0..right.n_rows() {
-            if right_key.get(r).expect("in range").approx_eq(lv) {
-                pairs.push((l, Some(r)));
-                matched = true;
+    // Pair up matching (left row, Option<right row>) indices: hashed when
+    // every key is in the exact domain (see [`key`]), nested loop otherwise.
+    let pairs = match key::equi_join(
+        left_key.values().iter(),
+        right_key.values().iter(),
+        keep_unmatched_left,
+    ) {
+        Some(pairs) => pairs,
+        None => {
+            let mut pairs = Vec::new();
+            for l in 0..left.n_rows() {
+                let lv = left_key.get(l).expect("in range");
+                let mut matched = false;
+                for r in 0..right.n_rows() {
+                    if right_key.get(r).expect("in range").approx_eq(lv) {
+                        pairs.push((l, Some(r)));
+                        matched = true;
+                    }
+                }
+                if !matched && keep_unmatched_left {
+                    pairs.push((l, None));
+                }
             }
+            pairs
         }
-        if !matched && keep_unmatched_left {
-            pairs.push((l, None));
-        }
-    }
+    };
 
     let mut out = DataFrame::new();
     for name in left.column_names() {

@@ -1,9 +1,11 @@
-//! Frame operations: comparisons, aggregation functions, group-by and joins.
+//! Frame operations: comparisons, aggregation functions, group-by, joins
+//! and the exact-hash key kernel ([`key`]) behind grouping and joins.
 
 mod agg;
 mod filter;
 mod groupby;
 mod join;
+pub mod key;
 
 pub use agg::AggFunc;
 pub use filter::CmpOp;

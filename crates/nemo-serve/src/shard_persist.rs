@@ -700,12 +700,12 @@ pub(crate) fn recover_or_create_sharded(
     init: impl FnOnce() -> crate::live::LiveNetwork,
 ) -> Result<(ShardedNetwork, Vec<ShardPersistence>, Vec<RecoveryReport>), ServeError> {
     assert!(shards > 0, "a sharded layout needs at least one shard");
-    // Probe with plain fs (not Store::open) so the real open below is the
-    // only one — a probe open would repair torn tails and silently drop
-    // the truncation out of the recovery report.
+    // Probe with a directory listing through the Vfs (not Store::open) so
+    // the real open below is the only one — a probe open would repair torn
+    // tails and silently drop the truncation out of the recovery report.
     let probe = shard_dir(root, 0);
-    let occupied = match std::fs::read_dir(&probe) {
-        Ok(mut entries) => entries.next().is_some(),
+    let occupied = match options.vfs.read_dir(&probe) {
+        Ok(entries) => !entries.is_empty(),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => false,
         Err(e) => {
             return Err(ServeError::Storage(format!(
@@ -771,6 +771,8 @@ mod tests {
     use crate::live::LiveNetwork;
     use crate::persist::FsyncPolicy;
     use crate::snapshot::write_snapshot;
+    use nemo_store::{RealFs, Vfs, VfsFile};
+    use std::io;
     use trafficgen::{evolve, generate, StreamConfig, TrafficConfig};
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -865,6 +867,89 @@ mod tests {
             persists.iter().map(|p| p.last_global()).max(),
             Some(reference.epoch())
         );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Wraps [`RealFs`], recording every operation in order.
+    #[derive(Debug, Default)]
+    struct RecordingFs {
+        ops: std::sync::Mutex<Vec<(&'static str, PathBuf)>>,
+    }
+
+    impl RecordingFs {
+        fn record(&self, op: &'static str, path: &Path) {
+            self.ops.lock().unwrap().push((op, path.to_path_buf()));
+        }
+    }
+
+    impl Vfs for RecordingFs {
+        fn create_dir_all(&self, path: &Path) -> io::Result<()> {
+            self.record("create_dir_all", path);
+            RealFs.create_dir_all(path)
+        }
+        fn read_dir(&self, path: &Path) -> io::Result<Vec<PathBuf>> {
+            self.record("read_dir", path);
+            RealFs.read_dir(path)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.record("read", path);
+            RealFs.read(path)
+        }
+        fn remove_file(&self, path: &Path) -> io::Result<()> {
+            self.record("remove_file", path);
+            RealFs.remove_file(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.record("rename", from);
+            RealFs.rename(from, to)
+        }
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.record("open_append", path);
+            RealFs.open_append(path)
+        }
+        fn create_new(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.record("create_new", path);
+            RealFs.create_new(path)
+        }
+        fn create_truncate(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.record("create_truncate", path);
+            RealFs.create_truncate(path)
+        }
+        fn open_write(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.record("open_write", path);
+            RealFs.open_write(path)
+        }
+        fn sync_dir(&self, path: &Path) -> io::Result<()> {
+            self.record("sync_dir", path);
+            RealFs.sync_dir(path)
+        }
+    }
+
+    #[test]
+    fn occupancy_probe_goes_through_the_vfs() {
+        let root = temp_root("vfs-probe");
+        let live = evolved_live(10);
+        for (round, expect_fresh) in [("create", true), ("recover", false)] {
+            let fs = std::sync::Arc::new(RecordingFs::default());
+            let options = PersistOptions {
+                vfs: fs.clone(),
+                ..test_options()
+            };
+            let fresh = std::cell::Cell::new(false);
+            let (net, _, _) = recover_or_create_sharded(&root, &options, 2, 1, || {
+                fresh.set(true);
+                live.clone()
+            })
+            .unwrap();
+            assert_eq!(fresh.get(), expect_fresh, "{round}");
+            assert_eq!(net.global_epoch(), live.epoch(), "{round}");
+            let ops = fs.ops.lock().unwrap();
+            assert_eq!(
+                ops.first(),
+                Some(&("read_dir", shard_dir(&root, 0))),
+                "{round}: the first filesystem touch must be the Vfs probe"
+            );
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 

@@ -15,11 +15,11 @@ use crate::ast::*;
 use crate::database::{Database, QueryResult};
 use crate::error::{Result, SqlError};
 use crate::functions::{call_scalar, like_match, LikePattern};
+use dataframe::ops::key;
 use dataframe::{Column, DataFrame};
 use netgraph::AttrValue;
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
 /// Executes a parsed statement against the database.
 pub fn execute_statement(db: &mut Database, stmt: &Statement) -> Result<QueryResult> {
@@ -41,9 +41,9 @@ pub fn execute_statement(db: &mut Database, stmt: &Statement) -> Result<QueryRes
 /// statement against the real table schemas, so a join line says `hash
 /// equi-join` exactly when [`equi_key_slots`] recognizes the `ON` clause
 /// (the executor still falls back to a nested loop at runtime if a key
-/// value is not exactly hashable — see [`ValueKey`]), and a single-table
-/// `WHERE` is reported as pushed down to the scan because that is where the
-/// compiled predicate runs.
+/// value is outside the exact domain of [`dataframe::ops::key`]), and a
+/// single-table `WHERE` is reported as pushed down to the scan because that
+/// is where the compiled predicate runs.
 pub fn explain_statement(db: &Database, stmt: &Statement) -> Result<DataFrame> {
     let mut lines = Vec::new();
     explain_lines(db, stmt, &mut lines)?;
@@ -674,44 +674,6 @@ fn eval_binary(l: &AttrValue, op: BinaryOp, r: &AttrValue) -> Result<AttrValue> 
     }
 }
 
-// ---------------------------------------------------------------- hash keys
-
-/// An exactly-hashable stand-in for an [`AttrValue`] used as a join or
-/// grouping key. Within this domain, key equality coincides *exactly* with
-/// [`AttrValue::approx_eq`]:
-///
-/// * `Null`, `Bool` and `Str` compare exactly in both schemes;
-/// * numeric values map to their integer value, but only when integral and
-///   `|v| < 10^9` — beyond that, `approx_eq`'s relative tolerance of
-///   `1e-9 * |v|` reaches 1.0 and *distinct* integers start comparing
-///   equal, which a hash key cannot express.
-///
-/// Values outside the domain (non-integral floats, huge integers, lists)
-/// return `None` and force the caller onto the comparison-based slow path,
-/// keeping results identical to the historical executor.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum ValueKey {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Str(Arc<str>),
-}
-
-fn value_key(v: &AttrValue) -> Option<ValueKey> {
-    const MAX_EXACT: i64 = 1_000_000_000;
-    match v {
-        AttrValue::Null => Some(ValueKey::Null),
-        AttrValue::Bool(b) => Some(ValueKey::Bool(*b)),
-        AttrValue::Int(_) | AttrValue::Float(_) => match v.as_i64() {
-            // Range check rather than `abs()`: `i64::MIN.abs()` overflows.
-            Some(i) if -MAX_EXACT < i && i < MAX_EXACT => Some(ValueKey::Int(i)),
-            _ => None,
-        },
-        AttrValue::Str(s) => Some(ValueKey::Str(Arc::clone(s))),
-        AttrValue::List(_) => None,
-    }
-}
-
 // ------------------------------------------------------------------- select
 
 fn execute_select(db: &Database, stmt: &SelectStmt) -> Result<DataFrame> {
@@ -903,35 +865,25 @@ fn apply_join(
     let on = compile(&combined, &join.on);
 
     // Hash fast path for `left.col = right.col` when every key value is
-    // exactly hashable (see [`ValueKey`]); otherwise nested loop.
+    // in the exact domain of `dataframe::ops::key`; otherwise nested loop.
     if let Some((left_key, right_key)) = equi_key_slots(&on, left_width) {
-        let left_keys: Option<Vec<ValueKey>> = left_rows
-            .iter()
-            .map(|row| value_key(&row[left_key]))
-            .collect();
-        let right_keys: Option<Vec<ValueKey>> = right_rows
-            .iter()
-            .map(|row| value_key(&row[right_key - left_width]))
-            .collect();
-        if let (Some(left_keys), Some(right_keys)) = (left_keys, right_keys) {
-            let mut table: HashMap<&ValueKey, Vec<usize>> = HashMap::new();
-            for (idx, key) in right_keys.iter().enumerate() {
-                table.entry(key).or_default().push(idx);
-            }
-            let mut rows = Vec::new();
-            for (lrow, lkey) in left_rows.iter().zip(&left_keys) {
-                let matches = table.get(lkey).map(Vec::as_slice).unwrap_or(&[]);
-                for &ridx in matches {
-                    let mut candidate = lrow.clone();
-                    candidate.extend(right_rows[ridx].iter().cloned());
-                    rows.push(candidate);
-                }
-                if matches.is_empty() && join.kind == JoinKind::Left {
-                    let mut candidate = lrow.clone();
-                    candidate.extend(std::iter::repeat(AttrValue::Null).take(right_width));
-                    rows.push(candidate);
-                }
-            }
+        let pairs = key::equi_join(
+            left_rows.iter().map(|row| &row[left_key]),
+            right_rows.iter().map(|row| &row[right_key - left_width]),
+            join.kind == JoinKind::Left,
+        );
+        if let Some(pairs) = pairs {
+            let rows = pairs
+                .into_iter()
+                .map(|(l, r)| {
+                    let mut candidate = left_rows[l].clone();
+                    match r {
+                        Some(r) => candidate.extend(right_rows[r].iter().cloned()),
+                        None => candidate.resize(left_width + right_width, AttrValue::Null),
+                    }
+                    candidate
+                })
+                .collect();
             return Ok((combined, rows));
         }
     }
@@ -1010,10 +962,9 @@ fn project_grouped(
     stmt: &SelectStmt,
 ) -> Result<(DataFrame, OrderMap)> {
     // Partition row indices by the GROUP BY key values, in first-seen
-    // order. When every key value is exactly hashable the partition runs
-    // through a hash map; otherwise it falls back to the historical
-    // first-match comparison scan (identical grouping either way — see
-    // [`ValueKey`]).
+    // order: hashed through `dataframe::ops::key` when every key value is
+    // in its exact domain, otherwise the historical first-match comparison
+    // scan (identical grouping either way).
     let mut groups: Vec<(Vec<AttrValue>, Vec<usize>)> = Vec::new();
     if stmt.group_by.is_empty() {
         groups.push((Vec::new(), (0..rows.len()).collect()));
@@ -1029,22 +980,12 @@ fn project_grouped(
                     .collect::<Result<_>>()?,
             );
         }
-        let hashable: Option<Vec<Vec<ValueKey>>> = row_keys
-            .iter()
-            .map(|key| key.iter().map(value_key).collect())
-            .collect();
-        match hashable {
-            Some(hash_keys) => {
-                let mut index: HashMap<&[ValueKey], usize> = HashMap::new();
-                for (idx, (key, hkey)) in row_keys.iter().zip(&hash_keys).enumerate() {
-                    match index.get(hkey.as_slice()) {
-                        Some(&g) => groups[g].1.push(idx),
-                        None => {
-                            index.insert(hkey.as_slice(), groups.len());
-                            groups.push((key.clone(), vec![idx]));
-                        }
-                    }
-                }
+        match key::partition(&row_keys) {
+            Some(members) => {
+                groups = members
+                    .into_iter()
+                    .map(|idx| (row_keys[idx[0]].clone(), idx))
+                    .collect();
             }
             None => {
                 for (idx, key) in row_keys.iter().enumerate() {
